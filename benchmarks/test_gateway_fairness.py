@@ -65,8 +65,7 @@ def service_config() -> ServiceConfig:
     # bottleneck, so admitted work queues *in the gateway*, which is the
     # layer under test.
     return ServiceConfig(seed=BENCH_SEED, n_workers=1, queue_capacity=4,
-                         world_params=PARAMS, batch_max_size=2,
-                         batch_max_delay=0.002)
+                         world_params=PARAMS, batch_max_size=2)
 
 
 @pytest.fixture(scope="module")

@@ -75,7 +75,7 @@ def emit(name: str, payload: dict) -> None:
 
 def service_config(**overrides) -> ServiceConfig:
     defaults = dict(seed=BENCH_SEED, n_workers=1, world_params=PARAMS,
-                    batch_max_size=4, batch_max_delay=0.005,
+                    batch_max_size=4,
                     queue_capacity=4096)
     defaults.update(overrides)
     return ServiceConfig(**defaults)

@@ -29,7 +29,7 @@ WARM_SPEEDUP_FLOOR = 5.0
 def service_config(n_workers: int) -> ServiceConfig:
     return ServiceConfig(seed=BENCH_SEED, n_workers=n_workers,
                          world_params=BENCH_PARAMS,
-                         batch_max_size=16, batch_max_delay=0.01)
+                         batch_max_size=16)
 
 
 @pytest.fixture(scope="module")

@@ -80,7 +80,7 @@ def emit(name: str, payload: dict) -> None:
 def make_service(store_root) -> ScanService:
     return ScanService(ServiceConfig(
         seed=BENCH_SEED, n_workers=2, world_params=PARAMS,
-        batch_max_size=8, batch_max_delay=0.01,
+        batch_max_size=8,
         store_path=store_root, store_config=StoreConfig(**vars(STORE_CONFIG))))
 
 

@@ -70,7 +70,7 @@ def emit(name: str, payload: dict) -> None:
 def make_service() -> ScanService:
     return ScanService(ServiceConfig(
         seed=BENCH_SEED, n_workers=SERVICE_WORKERS, world_params=PARAMS,
-        batch_max_size=8, batch_max_delay=0.01))
+        batch_max_size=8))
 
 
 class TestStreamPipeline:

@@ -75,8 +75,7 @@ def main() -> None:
     # A manual clock makes every throttle/quota decision reproducible.
     clock = ManualClock()
     config = ServiceConfig(seed=SEED, n_workers=1, queue_capacity=4,
-                           world_params=PARAMS, batch_max_size=2,
-                           batch_max_delay=0.002)
+                           world_params=PARAMS, batch_max_size=2)
     with ScanService(config) as service:
         gateway = ScanGateway(service, config=GatewayConfig(clock=clock))
         desk_key = gateway.register_tenant(Tenant(

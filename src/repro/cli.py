@@ -339,7 +339,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         queue_policy=args.queue_policy,
         batch_max_size=args.batch_size,
-        batch_max_delay=args.batch_delay,
         cache_capacity=args.cache_capacity,
         world_params=config.world_params,
         store_path=args.store,
@@ -674,9 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify ads while the crawl is still running")
     serve.add_argument("--replays", type=int, default=2,
                        help="corpus replay passes (pass 2+ shows the warm cache)")
-    serve.add_argument("--batch-size", type=int, default=8)
-    serve.add_argument("--batch-delay", type=float, default=0.05,
-                       help="micro-batch deadline in seconds")
+    serve.add_argument("--batch-size", type=int, default=8,
+                       help="most queued submissions a worker takes at once "
+                            "(it never waits for more)")
     serve.add_argument("--autoscale", metavar="MIN:MAX",
                        help="run an elastic worker pool between MIN and MAX "
                             "workers (verdicts stay bit-identical to any "

@@ -1,57 +1,45 @@
-"""Micro-batching: coalesce queued submissions into oracle batches.
+"""Micro-batching: hand a worker everything already queued, up to a cap.
 
-Honeyclient scans dominate service cost, but each scan also carries fixed
-per-dispatch overhead (queue handoff, worker wakeup, metrics).  The
-micro-batcher amortises it the way online inference services do: a batch
-is released when it reaches ``max_size`` items **or** when ``max_delay``
-seconds have passed since its first item arrived — so a busy service
-scans in full batches while a trickle of traffic still sees bounded
-latency.
+The batcher is work-conserving: a worker blocks only until the first
+item arrives, then takes whatever else is already waiting — at most
+``max_size`` items — and goes.  It never holds a ready item back to wait
+for company, so a trickle of traffic is scanned as soon as it arrives
+while a backlog still drains in full batches.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.service.queue import IngestQueue
 
 
 class MicroBatcher:
-    """Assemble size- or deadline-triggered batches from an ingest queue.
+    """Assemble batches of already-queued items from an ingest queue.
 
-    Thread-safe: multiple workers may call :meth:`next_batch` concurrently;
-    an internal lock ensures each batch is assembled by exactly one caller,
-    so items are never interleaved into two batches out of order.
+    Thread-safe: multiple workers may call :meth:`next_batch` concurrently.
+    They wait for their first item without holding any batcher lock (so
+    every idle worker surfaces on its own ``timeout``); the drain of the
+    rest runs under a lock, so two drains never interleave and every
+    batch leaves in queue order.
     """
 
-    def __init__(
-        self,
-        queue: IngestQueue,
-        max_size: int = 8,
-        max_delay: float = 0.05,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, queue: IngestQueue, max_size: int = 8) -> None:
         if max_size <= 0:
             raise ValueError("max_size must be positive")
-        if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
         self.queue = queue
         self.max_size = max_size
-        self.max_delay = max_delay
-        self._clock = clock or time.monotonic
         self._assembly_lock = threading.Lock()
         self.batches = 0
         self.size_flushes = 0
-        self.deadline_flushes = 0
 
     def next_batch(self, timeout: Optional[float] = None) -> Optional[list]:
-        """Block until one batch is ready; ``None`` once the queue is done.
+        """Block for one item, then add what is queued; ``None`` when done.
 
-        The first item opens the batch and starts the deadline clock; the
-        batch closes on whichever comes first of ``max_size`` items or the
-        deadline.  Queue closure flushes whatever was collected.
+        The batch closes as soon as the queue is empty or ``max_size``
+        items are in it.  Queue closure still hands out what was queued
+        before it.
 
         With ``timeout`` the wait for the *first* item is bounded: an
         empty list comes back when nothing arrived in time and the queue
@@ -59,37 +47,26 @@ class MicroBatcher:
         form so an idle worker periodically surfaces to check for
         retirement instead of blocking forever in the queue.
         """
+        first = self.queue.get(timeout=timeout)
+        if first is None:
+            if timeout is not None and not self.queue.closed:
+                return []
+            return None
+        batch: list[Any] = [first]
         with self._assembly_lock:
-            first = self.queue.get(timeout=timeout)
-            if first is None:
-                if timeout is not None and not self.queue.closed:
-                    return []
-                return None
-            batch: list[Any] = [first]
-            deadline = self._clock() + self.max_delay
-            flushed_by = "deadline"
             while len(batch) < self.max_size:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    break
-                item = self.queue.get(timeout=remaining)
+                item = self.queue.get(timeout=0)
                 if item is None:
                     break
                 batch.append(item)
-            if len(batch) >= self.max_size:
-                flushed_by = "size"
             self.batches += 1
-            if flushed_by == "size":
+            if len(batch) == self.max_size:
                 self.size_flushes += 1
-            else:
-                self.deadline_flushes += 1
-            return batch
+        return batch
 
     def stats(self) -> dict:
         return {
             "batches": self.batches,
             "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
             "max_size": self.max_size,
-            "max_delay": self.max_delay,
         }

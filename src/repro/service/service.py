@@ -51,7 +51,6 @@ class ServiceConfig:
     queue_capacity: int = 256
     queue_policy: str = "block"
     batch_max_size: int = 8
-    batch_max_delay: float = 0.05
     cache_capacity: int = 65536
     cache_ttl: Optional[float] = None
     blacklist_threshold: int = 5
@@ -244,8 +243,7 @@ class ScanService:
             policy=self.config.queue_policy,
             wait_observer=self.metrics.histogram("enqueue_wait").observe)
         self.batcher = MicroBatcher(self.queue,
-                                    max_size=self.config.batch_max_size,
-                                    max_delay=self.config.batch_max_delay)
+                                    max_size=self.config.batch_max_size)
         self.dead_letters = DeadLetterLog(
             capacity=self.config.dead_letter_capacity)
         scaling = self.config.autoscaler_config()
@@ -568,18 +566,26 @@ class ScanService:
     def _on_result(self, task: ScanTask, verdict: Optional[AdVerdict],
                    error: Optional[BaseException]) -> None:
         latency = time.monotonic() - task.submitted_at
+        store_failed = False
+        if verdict is not None and self.store is not None:
+            # Append (and fsync) before taking the state lock, so a cache
+            # hit never waits behind the disk.  The creative stays in
+            # _pending meanwhile: duplicates still coalesce, and tickets
+            # resolve only once the verdict is durable.  The store
+            # serialises its own writers.
+            try:
+                self.store.put(task.record.content_hash, verdict)
+            except StoreWriteError:
+                # The disk refused the append (full, torn); the verdict
+                # still serves from memory and the store stays
+                # consistent — degrade, don't fail the scan.
+                store_failed = True
         with self._state_lock:
             entry = self._pending.pop(task.record.content_hash, None)
             if verdict is not None:
                 self.cache.put(task.record.content_hash, verdict)
-                if self.store is not None:
-                    try:
-                        self.store.put(task.record.content_hash, verdict)
-                    except StoreWriteError:
-                        # The disk refused the append (full, torn); the
-                        # verdict still serves from memory and the store
-                        # stays consistent — degrade, don't fail the scan.
-                        self.metrics.counter("store_write_errors").inc()
+                if store_failed:
+                    self.metrics.counter("store_write_errors").inc()
                 self.metrics.counter("scanned").inc()
                 if task.tenant is not None:
                     self.metrics.counter(f"tenant.{task.tenant}.scanned").inc()

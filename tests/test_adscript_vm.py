@@ -466,7 +466,7 @@ def _run_pipeline_engine(engine, crawl_workers, mode):
             crawler = study.build_parallel_crawler(workers=crawl_workers,
                                                    mode=mode)
         config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
-                               batch_max_size=4, batch_max_delay=0.01)
+                               batch_max_size=4)
         with ScanService(config) as service:
             corpus, _, tickets = stream_crawl(
                 crawler, study.build_schedule(), service)

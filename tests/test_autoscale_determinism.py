@@ -236,7 +236,7 @@ def schedule(population):
 def run_load(population, schedule, **config_overrides):
     config = ServiceConfig(**{
         "seed": SEED, "n_workers": 2, "world_params": PARAMS,
-        "batch_max_size": 4, "batch_max_delay": 0.01,
+        "batch_max_size": 4,
         "queue_capacity": 1024, **config_overrides})
     tickets: list = []
     with ScanService(config) as service:
@@ -287,7 +287,7 @@ class TestAutoscaledStreamDeterminism:
     def fixed_streamed(self):
         study = Study(STUDY_CONFIG)
         config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
-                               batch_max_size=4, batch_max_delay=0.01)
+                               batch_max_size=4)
         with ScanService(config) as service:
             corpus, _, tickets = stream_crawl(
                 study.build_crawler(), study.build_schedule(), service)
@@ -303,7 +303,7 @@ class TestAutoscaledStreamDeterminism:
         study = Study(STUDY_CONFIG)
         crawler = study.build_parallel_crawler(workers=2, mode=mode)
         config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
-                               batch_max_size=4, batch_max_delay=0.01,
+                               batch_max_size=4,
                                autoscale_min=1, autoscale_max=4,
                                worker_max_restarts=2)
         with ScanService(config) as service:

@@ -45,7 +45,7 @@ STUDY_CONFIG = StudyConfig(seed=SEED, days=1, refreshes_per_visit=1,
 
 def service_config(**overrides) -> ServiceConfig:
     defaults = dict(seed=SEED, n_workers=2, world_params=PARAMS,
-                    batch_max_size=4, batch_max_delay=0.01)
+                    batch_max_size=4)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -42,8 +42,7 @@ if fork_available():
 def run_streamed(workers: int, mode) -> tuple[str, str]:
     """One crawl+scan with no gateway anywhere; both fingerprints."""
     study = Study(STUDY_CONFIG)
-    config = ServiceConfig(seed=2014, n_workers=2, world_params=PARAMS,
-                           batch_max_delay=0.01)
+    config = ServiceConfig(seed=2014, n_workers=2, world_params=PARAMS)
     with ScanService(config) as service:
         if workers == 1:
             crawler = study.build_crawler()
@@ -76,8 +75,7 @@ def test_direct_submission_carries_no_tenant_attribution():
                                   n_other_sites=6, n_feed_sites=2)))
     corpus = study.crawl().corpus
     config = ServiceConfig(seed=7, n_workers=2,
-                           world_params=study.config.world_params,
-                           batch_max_delay=0.01)
+                           world_params=study.config.world_params)
     with ScanService(config) as service:
         tickets = [service.submit(r) for r in corpus.records()[:5]]
         service.drain()

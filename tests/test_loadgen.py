@@ -34,7 +34,7 @@ PARAMS = WorldParams(n_top_sites=4, n_bottom_sites=4, n_other_sites=4,
 
 def service_config(**overrides) -> ServiceConfig:
     defaults = dict(seed=SEED, n_workers=2, world_params=PARAMS,
-                    batch_max_size=4, batch_max_delay=0.01,
+                    batch_max_size=4,
                     queue_capacity=1024)
     defaults.update(overrides)
     return ServiceConfig(**defaults)

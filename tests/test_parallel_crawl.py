@@ -137,7 +137,7 @@ class TestStreamingIntegration:
         from repro.service import ScanService, ServiceConfig, stream_crawl
 
         config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
-                               batch_max_size=4, batch_max_delay=0.01)
+                               batch_max_size=4)
         study = make_study()
         crawler = study.build_parallel_crawler(workers=2, mode="thread")
         with ScanService(config) as service:

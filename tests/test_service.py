@@ -7,8 +7,11 @@ regardless of worker count or scan order — and a warm-cache replay never
 touches the oracle at all.
 """
 
+import threading
+
 import pytest
 
+from repro.chaos.fs import LocalFileSystem
 from repro.core.persistence import verdict_fingerprint
 from repro.core.study import Study, StudyConfig
 from repro.crawler.schedule import CrawlSchedule
@@ -20,6 +23,7 @@ from repro.service import (
     hermetic_judge,
     stream_crawl,
 )
+from repro.store import VerdictStore
 
 SEED = 7
 
@@ -32,7 +36,7 @@ STUDY_CONFIG = StudyConfig(seed=SEED, days=1, refreshes_per_visit=1,
 
 def service_config(**overrides) -> ServiceConfig:
     defaults = dict(seed=SEED, n_workers=2, world_params=PARAMS,
-                    batch_max_size=4, batch_max_delay=0.01)
+                    batch_max_size=4)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -103,12 +107,14 @@ class TestCacheBehaviour:
 
     def test_in_flight_duplicates_coalesce_to_one_scan(self, corpus):
         record = corpus.records()[0]
-        # A long batch deadline parks the first submission in the batcher,
-        # guaranteeing the duplicates arrive while it is still in flight.
-        config = service_config(n_workers=1, batch_max_size=100,
-                               batch_max_delay=0.3)
+        # The fault hook parks the first scan until both duplicates are
+        # submitted, guaranteeing they arrive while it is still in flight.
+        submitted = threading.Event()
+        config = service_config(
+            n_workers=1, fault_hook=lambda index, task: submitted.wait(10))
         with ScanService(config) as service:
             tickets = [service.submit(record) for _ in range(3)]
+            submitted.set()
             service.drain()
             stats = service.stats()
         fingerprints = {verdict_fingerprint(t.result()) for t in tickets}
@@ -134,6 +140,51 @@ class TestCacheBehaviour:
         assert stats["counters"]["scanned"] == 0
 
 
+class GatedFsync(LocalFileSystem):
+    """A file system whose fsync parks while the gate is closed."""
+
+    def __init__(self) -> None:
+        self.gate = threading.Event()
+        self.gate.set()
+        self.parked = threading.Event()
+
+    def fsync(self, path) -> None:
+        if not self.gate.is_set():
+            self.parked.set()
+            self.gate.wait(10)
+        super().fsync(path)
+
+
+class TestStoreAppend:
+    def test_cache_hit_does_not_wait_for_a_blocked_fsync(self, corpus,
+                                                         tmp_path):
+        warm, fresh = corpus.records()[:2]
+        fs = GatedFsync()
+        store = VerdictStore(tmp_path / "store", fs=fs)
+        with ScanService(service_config(n_workers=1), store=store) as service:
+            service.scan_sync(warm, timeout=30)
+            errors = service.stats()["counters"]["store_write_errors"]
+            fs.gate.clear()
+            scanned = service.submit(fresh)
+            assert fs.parked.wait(30)
+            # The worker is inside the fsync now; a cache hit must not
+            # queue behind it.
+            hits: list = []
+            submitter = threading.Thread(
+                target=lambda: hits.append(service.submit(warm)), daemon=True)
+            submitter.start()
+            submitter.join(1.0)
+            assert hits and hits[0].done and hits[0].from_cache
+            # Durable before delivered: the scan's ticket waits for the disk.
+            assert not scanned.done
+            fs.gate.set()
+            assert scanned.result(timeout=30).ad_id == fresh.ad_id
+            stats = service.stats()
+        store.close()
+        assert stats["counters"]["store_write_errors"] == errors
+        assert stats["counters"]["scanned"] == 2
+
+
 class TestLifecycle:
     def test_graceful_drain_under_in_flight_load(self, corpus):
         """shutdown(drain=True) resolves every accepted ticket."""
@@ -145,8 +196,7 @@ class TestLifecycle:
                 assert ticket.result(timeout=0).ad_id == ticket.ad_id
 
     def test_non_drain_shutdown_fails_leftover_tickets(self, corpus):
-        config = service_config(n_workers=1, batch_max_size=1,
-                                batch_max_delay=0.0)
+        config = service_config(n_workers=1, batch_max_size=1)
         service = ScanService(config).start()
         tickets = service.submit_corpus(corpus)
         service.shutdown(drain=False)

@@ -1,5 +1,6 @@
 """Tests for the ingest queue, micro-batcher and metrics registry."""
 
+import sys
 import threading
 import time
 
@@ -109,55 +110,125 @@ class TestCloseSemantics:
 class TestMicroBatcher:
     def test_size_triggered_flush(self):
         queue = IngestQueue(capacity=16)
-        batcher = MicroBatcher(queue, max_size=3, max_delay=30.0)
+        batcher = MicroBatcher(queue, max_size=3)
         for item in ("a", "b", "c", "d"):
             queue.put(item)
         assert batcher.next_batch() == ["a", "b", "c"]
         assert batcher.size_flushes == 1
-        assert batcher.deadline_flushes == 0
 
-    def test_deadline_triggered_flush(self):
+    def test_lone_item_returns_at_once(self):
         queue = IngestQueue(capacity=16)
-        batcher = MicroBatcher(queue, max_size=100, max_delay=0.05)
+        batcher = MicroBatcher(queue, max_size=100)
         queue.put("a")
         started = time.monotonic()
         batch = batcher.next_batch()
         elapsed = time.monotonic() - started
         assert batch == ["a"]
-        assert batcher.deadline_flushes == 1
-        assert elapsed < 5.0  # released by the deadline, not max_size
+        assert batcher.size_flushes == 0
+        assert elapsed < 0.02  # nothing waits for company
 
-    def test_deadline_measured_from_first_item(self):
+    def test_late_item_lands_in_next_batch(self):
         queue = IngestQueue(capacity=16)
-        batcher = MicroBatcher(queue, max_size=100, max_delay=0.15)
+        batcher = MicroBatcher(queue, max_size=100)
         result: list = []
 
         def consume():
             result.append(batcher.next_batch())
+            result.append(batcher.next_batch())
 
         thread = threading.Thread(target=consume, daemon=True)
         thread.start()
-        queue.put("a")  # opens the batch, starts the clock
+        queue.put("a")  # wakes the waiting consumer
         time.sleep(0.03)
-        queue.put("b")  # arrives within the deadline → same batch
+        queue.put("b")  # arrives after the first batch already left
         thread.join(5.0)
-        assert result and result[0] == ["a", "b"]
+        assert result == [["a"], ["b"]]
+
+    def test_backlog_drains_fifo_in_max_size_chunks(self):
+        queue = IngestQueue(capacity=16)
+        batcher = MicroBatcher(queue, max_size=4)
+        for item in range(10):
+            queue.put(item)
+        assert batcher.next_batch() == [0, 1, 2, 3]
+        assert batcher.next_batch() == [4, 5, 6, 7]
+        assert batcher.next_batch() == [8, 9]
+        assert batcher.batches == 3
+        assert batcher.size_flushes == 2
 
     def test_closed_queue_flushes_partial_batch_then_stops(self):
         queue = IngestQueue(capacity=16)
-        batcher = MicroBatcher(queue, max_size=10, max_delay=30.0)
+        batcher = MicroBatcher(queue, max_size=10)
         queue.put("a")
         queue.put("b")
         queue.close()
         assert batcher.next_batch() == ["a", "b"]
         assert batcher.next_batch() is None
 
+    def test_timed_wait_on_empty_open_queue_returns_empty_list(self):
+        queue = IngestQueue(capacity=16)
+        batcher = MicroBatcher(queue, max_size=10)
+        assert batcher.next_batch(timeout=0.01) == []
+        queue.close()
+        assert batcher.next_batch(timeout=0.01) is None
+        assert batcher.batches == 0
+
+    def test_idle_waiters_time_out_concurrently(self):
+        # Elastic workers poll with a timed next_batch; each must surface
+        # on its own timeout rather than queueing behind the others.
+        queue = IngestQueue(capacity=16)
+        batcher = MicroBatcher(queue, max_size=10)
+        results: list = []
+
+        def poll():
+            results.append(batcher.next_batch(timeout=0.2))
+
+        threads = [threading.Thread(target=poll, daemon=True)
+                   for _ in range(5)]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5.0)
+        elapsed = time.monotonic() - started
+        assert results == [[]] * 5
+        assert elapsed < 0.6
+
+    def test_concurrent_consumers_lose_and_reorder_nothing(self):
+        queue = IngestQueue(capacity=64)
+        batcher = MicroBatcher(queue, max_size=4)
+        batches: list = []
+        lock = threading.Lock()
+
+        def consume():
+            while (batch := batcher.next_batch(timeout=0.05)) is not None:
+                if batch:
+                    with lock:
+                        batches.append(batch)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [threading.Thread(target=consume, daemon=True)
+                         for _ in range(6)]
+            for thread in consumers:
+                thread.start()
+            for item in range(2000):
+                queue.put(item)
+            queue.close()
+            for thread in consumers:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in consumers)
+        assert sorted(i for batch in batches for i in batch) == list(range(2000))
+        assert all(batch == sorted(batch) and len(batch) <= 4
+                   for batch in batches)
+        assert batcher.batches == len(batches)
+
     def test_validation(self):
         queue = IngestQueue(capacity=4)
         with pytest.raises(ValueError):
             MicroBatcher(queue, max_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(queue, max_delay=-1.0)
 
 
 class TestMetrics:

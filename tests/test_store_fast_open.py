@@ -366,7 +366,7 @@ class TestPipelineFastOpenDifferential:
                                                    mode=mode)
         config = ServiceConfig(
             seed=SEED, n_workers=2, world_params=PARAMS,
-            batch_max_size=4, batch_max_delay=0.01,
+            batch_max_size=4,
             store_path=root, store_config=StoreConfig(**vars(CONFIG)))
         with ScanService(config) as service:
             _, _, tickets = stream_crawl(

@@ -51,7 +51,7 @@ def make_study(**overrides) -> Study:
 def make_service_config(**overrides) -> ServiceConfig:
     return ServiceConfig(**{
         "seed": SEED, "n_workers": 2, "world_params": PARAMS,
-        "batch_max_size": 4, "batch_max_delay": 0.01, **overrides})
+        "batch_max_size": 4, **overrides})
 
 
 def resolve_all(tickets) -> dict:

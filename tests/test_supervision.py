@@ -130,7 +130,7 @@ def corpus():
 
 def service_config(**overrides) -> ServiceConfig:
     defaults = dict(seed=SEED, n_workers=2, world_params=PARAMS,
-                    batch_max_size=2, batch_max_delay=0.01)
+                    batch_max_size=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -59,7 +59,7 @@ class PoolHarness:
 
     def __init__(self, n_workers, **pool_kwargs):
         self.queue = IngestQueue(capacity=64)
-        self.batcher = MicroBatcher(self.queue, max_size=1, max_delay=0.005)
+        self.batcher = MicroBatcher(self.queue, max_size=1)
         self._results_lock = threading.Lock()
         self.results = []
         self.pool = OracleWorkerPool(
@@ -150,7 +150,7 @@ class TestElasticDrain:
         before = set(no_scan_worker_zombies())
         config = ServiceConfig(
             seed=SEED, n_workers=1, world_params=PARAMS,
-            batch_max_size=2, batch_max_delay=0.005,
+            batch_max_size=2,
             autoscaler=AutoscalerConfig(min_workers=1, max_workers=3,
                                         interval=30.0))
         with ScanService(config) as service:
