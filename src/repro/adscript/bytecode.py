@@ -42,8 +42,11 @@ chain — exactly the lookup the tree-walker would have done.  Everything else
 name-based opcodes against the live environment chain.
 
 Compiled ``CodeObject``s are cached in the hash-addressed ``LruCache``
-registry under ``adscript_bytecode``, keyed off the same sha256 as the
-``adscript_programs`` AST cache, so warm renders skip parse *and* compile.
+registry under ``adscript_bytecode``, keyed off sha256(source), so warm
+renders skip parse *and* compile.  A miss parses a private AST and freezes
+it; the CodeObject keeps only the frozen fragments its operands reference,
+and the rest of the tree is dropped (the ``adscript_programs`` AST cache
+serves the tree engine alone).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Any, Optional
 from repro.adscript import ast_nodes as ast
 from repro.adscript.errors import ScriptRuntimeError
 from repro.adscript.interpreter import binary_op, to_int32
-from repro.adscript.parser import compile_program
+from repro.adscript.parser import parse_program
 from repro.adscript.values import (
     UNDEFINED,
     js_truthy,
@@ -1383,11 +1386,11 @@ def compile_ast(program: ast.Program, fuse: Optional[bool] = None) -> CodeObject
     return code
 
 
-# Hash-addressed compile cache: sha256(source) -> CodeObject, the same key the
-# adscript_programs AST cache uses, so a warm render skips parse and compile.
-# CodeObjects are immutable and their operands (frozen AST fragments, numbers,
-# strings, FunctionMetas) are never mutated at run time, so cross-thread and
-# cross-interpreter sharing is safe.
+# Hash-addressed compile cache: sha256(source) -> CodeObject.  A miss does not
+# populate the adscript_programs AST cache, which would hold a second copy of
+# every tree.  CodeObjects are immutable and their operands (frozen AST
+# fragments, numbers, strings, FunctionMetas) are never mutated at run time,
+# so cross-thread and cross-interpreter sharing is safe.
 _BYTECODE_CACHE = LruCache("adscript_bytecode", capacity=4096)
 
 
@@ -1402,7 +1405,7 @@ def compile_source(source: str, fuse: Optional[bool] = None) -> CodeObject:
     )
     code = _BYTECODE_CACHE.get(key)
     if code is None:
-        code = compile_ast(compile_program(source), fuse=fused)
+        code = compile_ast(ast.freeze(parse_program(source)), fuse=fused)
         _BYTECODE_CACHE.put(key, code)
     return code
 

@@ -132,11 +132,11 @@ class Interpreter:
         Returns the value of the last expression statement, mirroring how an
         eval-style embedding reports results.
 
-        Parsing goes through the process-wide compile cache: every browser
-        context that executes the same script source shares one frozen AST.
-        On the bytecode engine the compiled ``CodeObject`` is likewise cached
-        (``adscript_bytecode``, keyed off the same sha256), so warm renders
-        skip both parse and compile.
+        Compilation goes through a process-wide, sha256-keyed cache: on the
+        bytecode engine every browser context that executes the same script
+        source shares one ``CodeObject`` (``adscript_bytecode``), so warm
+        renders skip both parse and compile; the tree engine shares one
+        frozen AST (``adscript_programs``).
         """
         if self.engine == "bytecode":
             from repro.adscript.bytecode import compile_source

@@ -490,11 +490,13 @@ def parse_program(source: str) -> ast.Program:
 
 
 # Hash-addressed compile cache: sha256(source) -> frozen Program shared by
-# every interpreter in the process.  Creatives are template-generated and
-# repeat verbatim across refreshes and honeyclient re-renders, so each
-# distinct script is lexed + parsed once.  Frozen ASTs are read-only at
-# execution time (the interpreter walks them; all mutable run state lives
-# in Environments and JS values), so sharing across threads is safe.
+# every tree-engine interpreter in the process (the bytecode engine caches
+# CodeObjects in adscript_bytecode instead and never fills this one).
+# Creatives are template-generated and repeat verbatim across refreshes and
+# honeyclient re-renders, so each distinct script is lexed + parsed once.
+# Frozen ASTs are read-only at execution time (the interpreter walks them;
+# all mutable run state lives in Environments and JS values), so sharing
+# across threads is safe.
 _PROGRAM_CACHE = LruCache("adscript_programs", capacity=4096)
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.adscript.errors import ScriptRuntimeError
+
 
 class _Undefined:
     """Singleton JS ``undefined``."""
@@ -120,7 +122,11 @@ class HostObject:
         return UNDEFINED
 
     def set_member(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{self.host_name} has no settable member {name!r}")
+        # A script error, not a Python one: hostile creatives write to
+        # read-only hosts (``Math.random = ...``), and that must end as a
+        # recorded SCRIPT_ERROR without touching the host.
+        raise ScriptRuntimeError(
+            f"{self.host_name} has no settable member {name!r}")
 
     def member_names(self) -> list[str]:
         return []

@@ -57,7 +57,12 @@ class PageLoad:
 
 
 class _FrameContext:
-    """Per-frame execution state: interpreter, BOM objects, work queues."""
+    """Per-frame execution state: script realm, BOM objects, work queues.
+
+    The realm (an :class:`Interpreter` with its stdlib, plus the BOM
+    globals) is built on first use — the frame's first script or callback
+    — so frames and click contexts that never run a script build nothing.
+    """
 
     def __init__(self, browser: "Browser", frame: Frame, load: PageLoad,
                  referrer: Optional[str] = None) -> None:
@@ -65,21 +70,29 @@ class _FrameContext:
         self.frame = frame
         self.load = load
         self.referrer = referrer
-        self.interpreter = Interpreter(step_budget=browser.step_budget)
-        self.interpreter.host_random = browser._script_random
-        self.interpreter.record_eval = self._record_eval
+        self._interpreter: Optional[Interpreter] = None
         self.timers: list[Any] = []
         self.pending_navigation: Optional[str] = None
         self.dynamic_elements: list[Element] = []
-        self._write_buffer: list[str] = []
-        self._install_bom()
 
-    def _install_bom(self) -> None:
+    @property
+    def interpreter(self) -> Interpreter:
+        interpreter = self._interpreter
+        if interpreter is None:
+            interpreter = Interpreter(step_budget=self.browser.step_budget)
+            # Bound now, not at frame creation: both read the browser state
+            # current when the frame's first script runs.
+            interpreter.host_random = self.browser._script_random
+            interpreter.record_eval = self._record_eval
+            self._interpreter = interpreter
+            self._install_bom(interpreter)
+        return interpreter
+
+    def _install_bom(self, g: Interpreter) -> None:
         from repro.browser.bom import _XhrConstructor
 
         document = DocumentObject(self)
         window = WindowObject(self, document)
-        g = self.interpreter
         g.define_global("XMLHttpRequest", _XhrConstructor(self))
         g.define_global("window", window)
         g.define_global("document", document)
@@ -325,24 +338,30 @@ class Browser:
     def _run_source(self, ctx: _FrameContext, source: str) -> None:
         try:
             ctx.interpreter.run(source)
-        except BudgetExceededError:
-            ctx.record(ev.SCRIPT_ERROR, error="budget_exceeded")
-        except ThrowSignal as signal:
-            ctx.record(ev.SCRIPT_ERROR, error="uncaught_throw",
-                       value=to_js_string(signal.value)[:100])
-        except AdScriptError as exc:
-            ctx.record(ev.SCRIPT_ERROR, error=type(exc).__name__, message=str(exc)[:200])
+        except (AdScriptError, ThrowSignal) as exc:
+            self._record_script_error(ctx, exc)
 
     def _run_callback(self, ctx: _FrameContext, callback: Any) -> None:
+        if isinstance(callback, str):
+            self._run_source(ctx, callback)
+            return
+        if callback is UNDEFINED or callback is None:
+            return
         try:
-            if isinstance(callback, str):
-                ctx.interpreter.run(callback)
-            elif callback is not UNDEFINED and callback is not None:
-                ctx.interpreter.call_function(callback, [])
-        except BudgetExceededError:
+            ctx.interpreter.call_function(callback, [])
+        except (AdScriptError, ThrowSignal) as exc:
+            self._record_script_error(ctx, exc)
+
+    @staticmethod
+    def _record_script_error(ctx: _FrameContext, exc: Exception) -> None:
+        if isinstance(exc, BudgetExceededError):
             ctx.record(ev.SCRIPT_ERROR, error="budget_exceeded")
-        except AdScriptError as exc:
-            ctx.record(ev.SCRIPT_ERROR, error=type(exc).__name__, message=str(exc)[:200])
+        elif isinstance(exc, ThrowSignal):
+            ctx.record(ev.SCRIPT_ERROR, error="uncaught_throw",
+                       value=to_js_string(exc.value)[:100])
+        else:
+            ctx.record(ev.SCRIPT_ERROR, error=type(exc).__name__,
+                       message=str(exc)[:200])
 
     # -- resources ---------------------------------------------------------------
 

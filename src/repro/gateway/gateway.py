@@ -96,6 +96,10 @@ class GatewayTicket:
     is also the engine that moves the admission queue.
     """
 
+    __slots__ = ("ticket_id", "tenant_id", "record", "enqueued_at",
+                 "forwarded_at", "_gateway", "_inner", "_error",
+                 "_mix_recorded")
+
     def __init__(self, ticket_id: str, tenant_id: str, record: AdRecord,
                  enqueued_at: float, gateway: "ScanGateway") -> None:
         self.ticket_id = ticket_id

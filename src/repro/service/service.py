@@ -109,8 +109,26 @@ class ServiceConfig:
         )
 
 
+#: Serialises installing a ticket's lazily created wakeup Event, so that
+#: concurrent first waiters share one.  Only waiters on unresolved tickets
+#: take it; resolving never does.
+_WAKEUP_INSTALL = threading.Lock()
+
+
 class ScanTicket:
-    """A claim on one submission's verdict (a minimal future)."""
+    """A claim on one submission's verdict (a minimal future).
+
+    Resolution writes plain fields.  The wakeup ``Event`` exists only once
+    somebody blocks in :meth:`result` on an unresolved ticket, so the common
+    case — a ticket resolved before anyone waits, or only ever polled
+    through :attr:`done` — allocates no synchronisation objects at all.
+    The resolver publishes ``_done`` before reading ``_wakeup`` and a waiter
+    installs ``_wakeup`` before re-reading ``_done``, so at least one side
+    always sees the other: a resolve racing the first waiter is never lost.
+    """
+
+    __slots__ = ("ad_id", "content_hash", "tenant", "from_cache",
+                 "_done", "_verdict", "_error", "_wakeup")
 
     def __init__(self, ad_id: str, content_hash: str,
                  tenant: Optional[str] = None) -> None:
@@ -120,27 +138,39 @@ class ScanTicket:
         #: caller — the pre-gateway behaviour, bit-identical).
         self.tenant = tenant
         self.from_cache = False
-        self._event = threading.Event()
+        self._done = False
         self._verdict: Optional[AdVerdict] = None
         self._error: Optional[BaseException] = None
+        self._wakeup: Optional[threading.Event] = None
 
     def _resolve(self, verdict: AdVerdict) -> None:
         self._verdict = verdict
-        self._event.set()
+        self._settle()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._settle()
+
+    def _settle(self) -> None:
+        self._done = True
+        wakeup = self._wakeup
+        if wakeup is not None:
+            wakeup.set()
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: Optional[float] = None) -> AdVerdict:
         """Block until the verdict is ready (re-raises scan errors)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"verdict for {self.ad_id} not ready after {timeout}s")
+        if not self._done:
+            with _WAKEUP_INSTALL:
+                wakeup = self._wakeup
+                if wakeup is None:
+                    wakeup = self._wakeup = threading.Event()
+            if not self._done and not wakeup.wait(timeout):
+                raise TimeoutError(
+                    f"verdict for {self.ad_id} not ready after {timeout}s")
         if self._error is not None:
             raise self._error
         assert self._verdict is not None
@@ -159,9 +189,11 @@ class AttachedTicket(ScanTicket):
     bits a caller sees are identical to a serial streamed crawl's.
     """
 
+    __slots__ = ("_primary",)
+
     def __init__(self, ad_id: str, primary: ScanTicket) -> None:
-        # Deliberately no super().__init__: this ticket has no event or
-        # verdict of its own — everything delegates to the primary.
+        # Deliberately no super().__init__: this ticket has no verdict or
+        # wakeup of its own — everything delegates to the primary.
         self.ad_id = ad_id
         self.content_hash = primary.content_hash
         self.tenant = primary.tenant

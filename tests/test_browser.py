@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adscript.interpreter import Interpreter
 from repro.browser import events as ev
 from repro.browser.browser import Browser
 from repro.browser.plugins import patched_profile, vulnerable_profile
@@ -164,6 +165,95 @@ class TestScriptExecution:
             b"document.write('<em id=\"dyn\">d</em>');")
         load = Browser(client).load("http://pub.com/")
         assert load.page.document.get_element_by_id("dyn") is not None
+
+
+class TestScriptFaults:
+    """Hostile script faults end as SCRIPT_ERROR events, never exceptions."""
+
+    @pytest.mark.parametrize("write", [
+        "Math.foo0 = 1", "String.x = 1", "navigator.x = 1",
+        "JSON.stringify = 1", "screen.width = 1", "Math.random = 1"])
+    def test_host_member_write_is_a_script_error(self, world, write):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            f"<script>{write};</script>"
+            "<script>document.write('<i id=\"t\">' + typeof Math.random"
+            " + typeof JSON.stringify + screen.width + '</i>');</script>")
+        load = Browser(client).load("http://pub.com/")
+        assert load.ok
+        errors = load.events.of_kind(ev.SCRIPT_ERROR)
+        assert [e.data["error"] for e in errors] == ["ScriptRuntimeError"]
+        assert "no settable member" in errors[0].data["message"]
+        # The write changed nothing: the next script sees the stock hosts.
+        text = load.page.document.get_element_by_id("t").text_content()
+        assert text == "functionfunction1920"
+
+    @pytest.mark.parametrize("script", [
+        "setTimeout(function () { throw 'x'; }, 1);",
+        "setTimeout('throw 2', 1);",
+        "window.onload = function () { throw 1; };",
+        "var x = new XMLHttpRequest();"
+        " x.onreadystatechange = function () { throw 'xhr'; };"
+        " x.open('GET', 'http://ads.net/cfg.json'); x.send();",
+    ])
+    def test_throw_from_a_callback_is_recorded(self, world, script):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            f"<script>{script} document.write('<i id=\"after\">a</i>');"
+            "</script>")
+        load = Browser(client).load("http://pub.com/")
+        assert load.ok
+        errors = load.events.of_kind(ev.SCRIPT_ERROR)
+        assert [e.data["error"] for e in errors] == ["uncaught_throw"]
+        assert load.page.document.get_element_by_id("after") is not None
+
+
+@pytest.fixture
+def interpreters_built(monkeypatch):
+    """Counts every Interpreter constructed while the test runs."""
+    built = []
+    original = Interpreter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpreter, "__init__", counting_init)
+    return built
+
+
+class TestLazyRealm:
+    def test_script_free_frames_build_no_interpreter(
+            self, world, interpreters_built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            '<p>static</p><iframe src="http://ads.net/slot"></iframe>')
+        pages[("ads.net", "/slot")] = page('<img src="http://ads.net/p.png">')
+        load = Browser(client).load("http://pub.com/")
+        assert load.ok and len(load.page.all_frames()) == 2
+        assert interpreters_built == []
+
+    def test_one_script_builds_one_interpreter(self, world, interpreters_built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            '<iframe src="http://ads.net/slot"></iframe>'
+            "<script>var a = 1;</script><script>window.b = a + 1;</script>")
+        pages[("ads.net", "/slot")] = page("<p>no script here</p>")
+        load = Browser(client).load("http://pub.com/")
+        assert load.ok
+        assert len(interpreters_built) == 1
+
+    def test_click_builds_no_interpreter(self, world, interpreters_built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            '<a href="http://evil.org/player.exe">Install missing plugin</a>')
+        pages[("evil.org", "/player.exe")] = HttpResponse.binary(
+            build_executable("fakerean", "f2"), "application/x-msdownload")
+        browser = Browser(client)
+        load = browser.load("http://pub.com/")
+        browser.click(load, load.page.main_frame, load.page.document.find("a"))
+        assert len(load.downloads) == 1
+        assert interpreters_built == []
 
 
 class TestFrames:

@@ -17,6 +17,7 @@ Three families of guarantees:
 
 import pytest
 
+from repro.adscript.bytecode import FunctionMeta, compile_source
 from repro.adscript.errors import ScriptRuntimeError
 from repro.adscript.interpreter import Interpreter
 from repro.adscript.parser import compile_program, parse_program
@@ -152,6 +153,26 @@ class TestProgramCache:
         for _ in range(2):
             with pytest.raises(ScriptRuntimeError):
                 Interpreter().run(src)
+
+
+class TestBytecodeCache:
+    def test_bytecode_engine_keeps_one_compiled_form(self):
+        clear_all_caches()
+        sources = [f"var v{i} = {i} * 2; v{i};" for i in range(5)]
+        codes = [compile_source(src) for src in sources]
+        assert [compile_source(src) for src in sources] == codes
+        stats = cache_stats()
+        assert stats["adscript_programs"]["size"] == 0
+        assert stats["adscript_programs"]["misses"] == 0
+        assert stats["adscript_bytecode"]["size"] == len(sources)
+        assert stats["adscript_bytecode"]["hits"] == len(sources)
+
+    def test_code_objects_keep_frozen_fragments(self):
+        code = compile_source("var f = function (a) { return a + 1; }; f(1);")
+        meta = next(arg for arg in code.args if isinstance(arg, FunctionMeta))
+        assert meta.body
+        with pytest.raises(AttributeError):
+            meta.body[0].line = 99
 
 
 # -- html token cache ---------------------------------------------------------
@@ -323,11 +344,12 @@ class TestCachesAreBehaviorInvariant:
         # The workload repeats creatives, so the caches must actually hit —
         # this differential is meaningless against an idle cache.
         compile_caches = stats["compile_caches"]
-        # On the bytecode engine a warm render hits adscript_bytecode and
-        # skips the AST cache entirely (parse + compile both cached away);
-        # the programs cache still sees the cold-compile misses.
+        # On the bytecode engine a warm render hits adscript_bytecode and a
+        # cold one misses it; the tree engine's AST cache is never touched.
         assert compile_caches["adscript_bytecode"]["hits"] > 0
-        assert compile_caches["adscript_programs"]["misses"] > 0
+        assert compile_caches["adscript_bytecode"]["misses"] > 0
+        programs = compile_caches["adscript_programs"]
+        assert programs["hits"] == programs["misses"] == 0
         assert compile_caches["html_tokens"]["hits"] > 0
         assert compile_caches["url_etld"]["hits"] > 0
 

@@ -8,6 +8,7 @@ touches the oracle at all.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -23,6 +24,9 @@ from repro.service import (
     hermetic_judge,
     stream_crawl,
 )
+from repro.adscript.interpreter import Interpreter
+from repro.browser.browser import _FrameContext
+from repro.service.service import ScanTicket, sighting_record
 from repro.store import VerdictStore
 
 SEED = 7
@@ -238,6 +242,132 @@ class TestLifecycle:
         assert stats["counters"]["submitted"] == corpus.unique_ads
         assert stats["histograms"]["scan_latency"]["count"] == corpus.unique_ads
         assert stats["histograms"]["batch_size"]["count"] >= 1
+
+
+def _blocked_waiters(ticket, n):
+    """Start ``n`` threads blocked in ``ticket.result()``; collect outcomes."""
+    outcomes = []
+
+    def wait():
+        try:
+            outcomes.append(ticket.result(timeout=10))
+        except Exception as exc:
+            outcomes.append(exc)
+
+    threads = [threading.Thread(target=wait) for _ in range(n)]
+    for thread in threads:
+        thread.start()
+    # A waiter installs the wakeup Event just before it blocks on it.
+    while ticket._wakeup is None:
+        time.sleep(0.001)
+    time.sleep(0.05)
+    return threads, outcomes
+
+
+class TestTicket:
+    def test_resolve_from_another_thread_wakes_a_blocked_waiter(self):
+        ticket = ScanTicket("ad-1", "h1")
+        verdict = object()
+        threads, outcomes = _blocked_waiters(ticket, 1)
+        assert not ticket.done and not outcomes
+        threading.Thread(target=ticket._resolve, args=(verdict,)).start()
+        threads[0].join(timeout=5)
+        assert outcomes == [verdict] and ticket.done
+
+    def test_fail_from_another_thread_wakes_a_blocked_waiter(self):
+        ticket = ScanTicket("ad-1", "h1")
+        error = QueueClosedError("service shut down")
+        threads, outcomes = _blocked_waiters(ticket, 1)
+        threading.Thread(target=ticket._fail, args=(error,)).start()
+        threads[0].join(timeout=5)
+        assert outcomes == [error]
+
+    def test_every_concurrent_waiter_wakes(self):
+        ticket = ScanTicket("ad-1", "h1")
+        verdict = object()
+        threads, outcomes = _blocked_waiters(ticket, 8)
+        ticket._resolve(verdict)
+        for thread in threads:
+            thread.join(timeout=5)
+        assert outcomes == [verdict] * 8
+
+    def test_unresolved_result_times_out(self):
+        ticket = ScanTicket("ad-9", "h9")
+        with pytest.raises(TimeoutError,
+                           match="verdict for ad-9 not ready after 0.05s"):
+            ticket.result(0.05)
+        assert not ticket.done
+
+    def test_resolve_without_a_waiter_allocates_no_wait_primitive(self):
+        ticket = ScanTicket("ad-1", "h1")
+        verdict = object()
+        ticket._resolve(verdict)
+        assert ticket.done and ticket.result() is verdict
+        assert ticket._wakeup is None
+        assert not hasattr(ticket, "__dict__")
+
+
+class TestPageRealm:
+    """Judging builds a script realm only for frames that run a script."""
+
+    @pytest.mark.parametrize("html, realms", [
+        # Harness frame + sample frame + one click context: no script.
+        ('<div class="ad"><a href="http://evil.example/offer">Win</a></div>',
+         0),
+        ('<div class="ad"><a href="http://evil.example/offer">Win</a></div>'
+         "<script>var shown = 1;</script>", 1),
+    ])
+    def test_judge_builds_one_realm_per_scripted_frame(
+            self, monkeypatch, html, realms):
+        world = build_world(SEED, PARAMS)
+        oracle = Study(STUDY_CONFIG, world=world).build_oracle()
+        built = {Interpreter: [], _FrameContext: []}
+        for cls, made in built.items():
+            def counting_init(self, *args, _made=made,
+                              _original=cls.__init__, **kwargs):
+                _made.append(self)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        verdict = hermetic_judge(oracle, world, sighting_record(html), SEED)
+        assert verdict.ad_id.startswith("sight:")
+        assert len(built[_FrameContext]) == 3
+        assert len(built[Interpreter]) == realms
+
+
+#: Creatives that write read-only host members or throw from callbacks;
+#: each must end as a recorded script error inside its own verdict.
+HOSTILE_CREATIVES = [
+    "<script>Math.foo0 = 1;</script>",
+    "<script>String.x = 1;</script>",
+    "<script>navigator.x = 1;</script>",
+    "<script>JSON.stringify = 1;</script>",
+    "<script>setTimeout(function(){ throw 'x'; }, 1);</script>",
+    "<script>setTimeout('throw 2', 1);</script>",
+    "<script>window.onload = function(){ throw 1; };</script>",
+    "<script>window.onload = function(){ Math.random = 3; };</script>",
+    "<script>var x = new XMLHttpRequest();"
+    " x.onreadystatechange = function(){ throw 'xhr'; };"
+    " x.open('GET', '/config.json'); x.send();</script>",
+    "<script>var x = new XMLHttpRequest();"
+    " x.onreadystatechange = function(){ screen.width = 1; };"
+    " x.open('GET', '/config.json'); x.send();</script>",
+]
+
+
+class TestHostileCreatives:
+    def test_script_faults_are_verdicts_not_outages(self):
+        records = [sighting_record(html) for html in HOSTILE_CREATIVES]
+        records.append(sighting_record("<p>a benign creative</p>"))
+        with ScanService(service_config(n_workers=1)) as service:
+            tickets = [service.submit(record) for record in records]
+            service.drain()
+            verdicts = [ticket.result(timeout=30) for ticket in tickets]
+            stats = service.stats()
+        assert [v.ad_id for v in verdicts] == [r.ad_id for r in records]
+        assert stats["counters"].get("dead_lettered", 0) == 0
+        assert not stats["pool"]["degraded"]
+        assert {b["state"] for b in stats["pool"]["breakers"]} == {"closed"}
 
 
 class TestStreaming:
